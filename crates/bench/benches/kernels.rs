@@ -198,6 +198,32 @@ fn bench_page_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// Page validation: the body checksum alone, and `PageBuf::from_bytes`
+/// (header checks plus checksum) as every uncached flash read pays it.
+/// One page per iteration, so the time is per 8 KB page.
+fn bench_page_checksum(c: &mut Criterion) {
+    use smartssd_storage::page::checksum;
+    use smartssd_storage::PageBuf;
+    let mut group = c.benchmark_group("kernel/page_checksum");
+    let img = lineitem_like(Layout::Pax, 6_000);
+    let pages = img.pages();
+    group.throughput(Throughput::Bytes(smartssd_storage::PAGE_SIZE as u64));
+    let mut i = 0;
+    group.bench_function("checksum/PAX", |b| {
+        b.iter(|| {
+            i = (i + 1) % pages.len();
+            checksum(criterion::black_box(pages[i].body()))
+        })
+    });
+    group.bench_function("from_bytes/PAX", |b| {
+        b.iter(|| {
+            i = (i + 1) % pages.len();
+            PageBuf::from_bytes(pages[i].raw().clone()).is_ok()
+        })
+    });
+    group.finish();
+}
+
 /// TPC-H Q1's grouped-aggregation kernel on NSM vs PAX pages.
 fn bench_group_agg_layouts(c: &mut Criterion) {
     use smartssd_exec::spec::GroupAggSpec;
@@ -301,6 +327,7 @@ criterion_group!(
     bench_short_circuit,
     bench_probe_order,
     bench_page_build,
+    bench_page_checksum,
     bench_group_agg_layouts,
     bench_group_agg_rowwise,
     bench_wire_codec

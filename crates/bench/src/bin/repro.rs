@@ -1,10 +1,13 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [fig1|tab2|fig3|fig5|fig7|tab3|plans|scan-sweep|array|cache|
-//!                  device-scaling|interface|concurrent|host-parallel|q1|kernels|
-//!                  faults|trace|concurrency|degrade|fleet|serving|simspeed|
-//!                  servescale|chaos|all]
+//! repro [--quick] [--smoke] [fig1|tab2|fig3|fig5|fig7|tab3|plans|scan-sweep|
+//!                  array|cache|device-scaling|interface|concurrent|
+//!                  host-parallel|q1|kernels|faults|trace|concurrency|degrade|
+//!                  fleet|serving|simspeed|servescale|chaos|all]
+//!
+//! An unknown subcommand or flag, or a second subcommand, prints usage to
+//! stderr and exits 2.
 //!
 //! `kernels` wall-clock-times the vectorized scan kernels against the
 //! tuple-at-a-time reference implementations and writes the results to
@@ -1109,20 +1112,45 @@ fn run_chaos(s: &Scales, quick: bool) {
     println!();
 }
 
+/// Every subcommand `repro` accepts.
+const SUBCOMMANDS: &str = "fig1 tab2 fig3 fig5 fig7 tab3 plans scan-sweep array cache \
+    device-scaling interface concurrent host-parallel q1 kernels faults trace concurrency \
+    degrade fleet serving simspeed servescale chaos all";
+
+/// Parses `[--quick] [--smoke] [SUBCOMMAND]` in any order into
+/// `(subcommand, quick, smoke)`; anything else is a usage error.
+fn parse_args(args: &[String]) -> Result<(&str, bool, bool), String> {
+    let (mut what, mut quick, mut smoke) = (None, false, false);
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--smoke" => smoke = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            sub if !SUBCOMMANDS.split(' ').any(|known| known == sub) => {
+                return Err(format!("unknown subcommand `{sub}`"))
+            }
+            sub => {
+                if let Some(first) = what.replace(sub) {
+                    return Err(format!("two subcommands given: `{first}` and `{sub}`"));
+                }
+            }
+        }
+    }
+    Ok((what.unwrap_or("all"), quick, smoke))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let (what, quick, smoke) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\nusage: repro [--quick] [--smoke] [SUBCOMMAND]");
+        eprintln!("SUBCOMMAND (default all): {SUBCOMMANDS}");
+        std::process::exit(2);
+    });
     let s = if quick {
         Scales::quick()
     } else {
         Scales::default()
     };
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
     let all = what == "all";
 
     if all || what == "fig1" {

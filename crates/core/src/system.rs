@@ -521,18 +521,25 @@ impl System {
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(name.into())))?;
         let schema = old.schema.clone();
         self.load_table_rows(name, &schema, rows)?;
-        // Invalidate the old extent.
-        if let Backend::Ssd(path) = &mut self.backend {
-            for lba in old.first_lba..old.first_lba + old.num_pages {
-                path.ssd
-                    .trim(lba)
-                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
+        // Invalidate the old extent, releasing its pages from the flash
+        // array and from both decode memos.
+        let stale = old.first_lba..old.first_lba + old.num_pages;
+        match &mut self.backend {
+            Backend::Hdd(_) => {}
+            Backend::Ssd(path) => {
+                for lba in stale {
+                    path.trim(lba)?;
+                }
             }
-        } else if let Backend::Smart { dev, .. } = &mut self.backend {
-            for lba in old.first_lba..old.first_lba + old.num_pages {
-                dev.flash
-                    .trim(lba)
-                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
+            Backend::Smart {
+                dev,
+                host_page_cache,
+                ..
+            } => {
+                for lba in stale {
+                    dev.trim(lba)?;
+                    host_page_cache.evict(lba);
+                }
             }
         }
         // Cached pages of the old extent are stale now.

@@ -317,6 +317,14 @@ impl SmartSsd {
         })
     }
 
+    /// Trims a logical page and forgets its decode memo, so neither the
+    /// flash array nor the memo keeps the stale page alive.
+    pub fn trim(&mut self, lba: u64) -> Result<(), DeviceError> {
+        self.flash.trim(lba).map_err(DeviceError::Flash)?;
+        self.page_cache.evict(lba);
+        Ok(())
+    }
+
     /// Page reads served out of the shared-scan window since the last
     /// timing reset — flash reads that concurrent sessions did *not* pay
     /// for because a peer's read was fanned out to them.

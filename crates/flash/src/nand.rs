@@ -194,7 +194,8 @@ impl NandArray {
         Ok(())
     }
 
-    /// Reads a valid or invalid (but written) page's payload.
+    /// Reads a valid page's payload. A stale page's payload is dropped when
+    /// it is invalidated, so reading it fails like reading a free page.
     pub fn read(&self, ppa: Ppa) -> Result<Bytes, NandError> {
         let ci = self.chip_index(ppa)?;
         let pi = self.page_index(ppa);
@@ -203,13 +204,18 @@ impl NandArray {
             .ok_or(NandError::ReadUnwritten(ppa))
     }
 
-    /// Marks a page stale (its LBA was overwritten or trimmed).
+    /// Marks a page stale (its LBA was overwritten or trimmed) and drops
+    /// its payload: nothing reads a stale page, so holding the bytes until
+    /// the block is erased would only pin memory.
     pub fn invalidate(&mut self, ppa: Ppa) -> Result<(), NandError> {
         let ci = self.chip_index(ppa)?;
-        let block = &mut self.chips[ci].blocks[ppa.block as usize];
+        let pi = self.page_index(ppa);
+        let chip = &mut self.chips[ci];
+        let block = &mut chip.blocks[ppa.block as usize];
         if block.states[ppa.page as usize] == PageState::Valid {
             block.states[ppa.page as usize] = PageState::Invalid;
             block.valid_count -= 1;
+            chip.data[pi] = None;
         }
         Ok(())
     }
@@ -367,17 +373,23 @@ mod tests {
             a.program(p, pg as u64, page_data(&cfg, pg as u8)).unwrap();
         }
         assert_eq!(a.block(0, 1, 2).valid_count(), 4);
-        a.invalidate(Ppa {
+        let stale = Ppa {
             channel: 0,
             chip: 1,
             block: 2,
             page: 1,
-        })
-        .unwrap();
+        };
+        a.invalidate(stale).unwrap();
         assert_eq!(a.block(0, 1, 2).valid_count(), 3);
         let valid = a.valid_pages(0, 1, 2);
         assert_eq!(valid.len(), 3);
         assert!(valid.iter().all(|&(pg, _)| pg != 1));
+        // The stale page's payload is dropped; its neighbours keep theirs.
+        assert_eq!(a.read(stale).unwrap_err(), NandError::ReadUnwritten(stale));
+        assert_eq!(
+            a.read(Ppa { page: 2, ..stale }).unwrap(),
+            page_data(&cfg, 2)
+        );
     }
 
     #[test]

@@ -447,6 +447,19 @@ mod tests {
     }
 
     #[test]
+    fn rewrite_releases_the_stale_payload() {
+        let cfg = FlashConfig::tiny();
+        let mut ssd = FlashSsd::new(cfg.clone());
+        ssd.write(1, page(&cfg, 1), SimTime::ZERO).unwrap();
+        let old_ppa = ssd.ftl.lookup(1).unwrap();
+        ssd.write(1, page(&cfg, 2), SimTime::ZERO).unwrap();
+        // The stale copy is gone from the array, not just unmapped.
+        assert!(ssd.nand.read(old_ppa).is_err());
+        let (data, _) = ssd.read(1, SimTime::ZERO).unwrap();
+        assert_eq!(&data[..8], &2u64.to_le_bytes());
+    }
+
+    #[test]
     fn trim_unmaps() {
         let cfg = FlashConfig::tiny();
         let mut ssd = FlashSsd::new(cfg.clone());

@@ -139,7 +139,7 @@ fn read_via_link(
                 let setup = cmd.setup_ns(lba, cmd_latency_ns);
                 let link_iv = link.transfer_with_setup(iv.end, PAGE_SIZE as u64, setup);
                 // Pointer-identity memo: repeated reads of an unchanged LBA
-                // skip re-walking the 4 KB checksum; a rewritten or corrupt
+                // skip re-walking the 8 KB checksum; a rewritten or corrupt
                 // buffer misses the memo and is validated for real.
                 match page_cache.decode(lba, data) {
                     Ok(page) => {
@@ -210,6 +210,14 @@ impl SsdHostPath {
         self.link.reset();
         self.cmd.reset();
         self.faults = FaultCounters::default();
+    }
+
+    /// Trims a logical page and forgets its decode memo, so neither the
+    /// flash array nor the memo keeps the stale page alive.
+    pub fn trim(&mut self, lba: u64) -> Result<(), IoError> {
+        self.ssd.trim(lba).map_err(IoError::Flash)?;
+        self.page_cache.evict(lba);
+        Ok(())
     }
 
     /// Attaches a tracer to the flash data path and the host interface link.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, tier-1 tests, and a benchmark smoke run.
+# Repo gate: formatting, lints, tier-1 and workspace tests, and a benchmark
+# smoke run.
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh fast     # skip the benchmark smoke run
@@ -22,10 +23,15 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+# Tier-1 runs only the root package; this runs every crate's tests too.
+echo "== cargo test --workspace --release -q =="
+cargo test --workspace --release -q
+
 if [[ "${1:-}" != "fast" ]]; then
     echo "== benchmark smoke (criterion --quick, kernel groups only) =="
     cargo bench -q -p smartssd-bench --bench kernels -- --quick scan_agg
     cargo bench -q -p smartssd-bench --bench kernels -- --quick group_agg
+    cargo bench -q -p smartssd-bench --bench kernels -- --quick page_checksum
     # Every out-of-`all` repro subcommand, quick scale: each writes its
     # BENCH_<sub>.json (trace also writes trace_*.json).
     for sub in kernels trace faults concurrency degrade fleet serving simspeed servescale chaos; do
